@@ -612,7 +612,18 @@ impl SimulatedCluster {
 mod tests {
     use super::*;
     use std::collections::HashSet;
+    use std::sync::atomic::AtomicU64;
     use x100_corpus::CollectionConfig;
+
+    /// A temp path unique to this call: pid plus a process-wide counter.
+    fn temp_path(name: &str) -> PathBuf {
+        static COUNTER: AtomicU64 = AtomicU64::new(0);
+        std::env::temp_dir().join(format!(
+            "x100-{name}-{}-{}",
+            std::process::id(),
+            COUNTER.fetch_add(1, Ordering::Relaxed)
+        ))
+    }
 
     fn setup(n: usize) -> (SyntheticCollection, SimulatedCluster) {
         let c = SyntheticCollection::generate(&CollectionConfig::tiny());
@@ -816,8 +827,7 @@ mod tests {
     fn reopened_segment_cluster_is_bit_identical() {
         let c = SyntheticCollection::generate(&CollectionConfig::tiny());
         let cluster = SimulatedCluster::build(&c, 3, &IndexConfig::materialized_q8());
-        let mut base = std::env::temp_dir();
-        base.push(format!("x100-cluster-segments-{}", std::process::id()));
+        let base = temp_path("cluster-segments");
         let paths = cluster.persist_segments(&base).unwrap();
         assert_eq!(paths.len(), 3);
         let reopened = SimulatedCluster::open_segments(&paths).unwrap();

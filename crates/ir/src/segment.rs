@@ -28,10 +28,13 @@
 //! file, is fsynced by [`SegmentWriter::finish`], and only then atomically
 //! renamed over the target path (with the parent directory fsynced), so an
 //! interrupted persist can never leave a plausible-looking partial segment
-//! at the target path.
+//! at the target path. The temp sibling is unique per call (pid plus a
+//! process-wide counter), so concurrent persists of one target each stage
+//! and install a complete segment, and the last rename wins.
 
 use std::borrow::Cow;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use x100_compress::Codec;
 use x100_storage::{
@@ -183,13 +186,21 @@ fn metadata_column(name: &str, values: impl Iterator<Item = u32>) -> Column {
     b.finish()
 }
 
-/// The sibling temp path a segment streams into before the atomic rename.
+/// The sibling temp path a segment streams into before the atomic rename,
+/// unique to this call: the pid keeps processes apart and the counter keeps
+/// concurrent persists of one target within a process apart, so no writer
+/// ever truncates or renames away another writer's staging file.
 fn temp_sibling(path: &Path) -> PathBuf {
+    static COUNTER: AtomicU64 = AtomicU64::new(0);
     let file = path
         .file_name()
         .map(|f| f.to_string_lossy().into_owned())
         .unwrap_or_default();
-    path.with_file_name(format!("{file}.tmp.{}", std::process::id()))
+    path.with_file_name(format!(
+        "{file}.tmp.{}.{}",
+        std::process::id(),
+        COUNTER.fetch_add(1, Ordering::Relaxed)
+    ))
 }
 
 /// Fsyncs `path`'s parent directory so the rename itself is durable.
@@ -563,9 +574,12 @@ mod tests {
     use x100_corpus::{CollectionConfig, SyntheticCollection};
 
     fn temp_path(name: &str) -> std::path::PathBuf {
-        let mut p = std::env::temp_dir();
-        p.push(format!("x100-ir-segment-{name}-{}", std::process::id()));
-        p
+        static COUNTER: AtomicU64 = AtomicU64::new(0);
+        std::env::temp_dir().join(format!(
+            "x100-ir-segment-{name}-{}-{}",
+            std::process::id(),
+            COUNTER.fetch_add(1, Ordering::Relaxed)
+        ))
     }
 
     #[test]
@@ -682,6 +696,34 @@ mod tests {
             .collect();
         assert!(leftovers.is_empty(), "{leftovers:?}");
         InvertedIndex::open_segment(&target).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn concurrent_persists_of_one_target_each_install_a_whole_segment() {
+        let c = SyntheticCollection::generate(&CollectionConfig::tiny());
+        let idx = InvertedIndex::build(&c, &IndexConfig::compressed());
+        let dir = temp_path("concurrent-dir");
+        std::fs::create_dir_all(&dir).unwrap();
+        let target = dir.join("seg.x1sg");
+        // Two writers racing on one target must each stage their own temp
+        // file: every call succeeds and the last rename wins.
+        std::thread::scope(|s| {
+            for _ in 0..2 {
+                s.spawn(|| {
+                    for _ in 0..20 {
+                        idx.write_segment(&target).unwrap();
+                    }
+                });
+            }
+        });
+        InvertedIndex::open_segment(&target).unwrap();
+        let leftovers: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .filter(|n| n.contains(".tmp."))
+            .collect();
+        assert!(leftovers.is_empty(), "{leftovers:?}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

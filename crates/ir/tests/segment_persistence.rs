@@ -6,6 +6,7 @@
 //! with a typed [`SegmentError`]: never a panic, never an unbounded
 //! allocation.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use x100_corpus::{CollectionConfig, SyntheticCollection};
@@ -25,13 +26,16 @@ const ALL_STRATEGIES: [SearchStrategy; 8] = [
     SearchStrategy::Bm25MaterializedPruned,
 ];
 
+/// A temp path unique to this call: the tests of this binary run as
+/// threads of one process, so the pid alone would hand every caller of one
+/// `name` the same file.
 fn temp_path(name: &str) -> std::path::PathBuf {
-    let mut p = std::env::temp_dir();
-    p.push(format!(
-        "x100-segment-persist-{name}-{}",
-        std::process::id()
-    ));
-    p
+    static COUNTER: AtomicU64 = AtomicU64::new(0);
+    std::env::temp_dir().join(format!(
+        "x100-segment-persist-{name}-{}-{}",
+        std::process::id(),
+        COUNTER.fetch_add(1, Ordering::Relaxed)
+    ))
 }
 
 /// A deliberately small index (few dozen docs, tiny vocabulary) whose

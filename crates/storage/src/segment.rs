@@ -730,11 +730,15 @@ mod tests {
     use crate::buffer::{BufferManager, BufferMode};
     use crate::column::ColumnBuilder;
     use crate::disk::DiskModel;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     fn temp_path(name: &str) -> std::path::PathBuf {
-        let mut p = std::env::temp_dir();
-        p.push(format!("x100-segment-{name}-{}", std::process::id()));
-        p
+        static COUNTER: AtomicU64 = AtomicU64::new(0);
+        std::env::temp_dir().join(format!(
+            "x100-segment-{name}-{}-{}",
+            std::process::id(),
+            COUNTER.fetch_add(1, Ordering::Relaxed)
+        ))
     }
 
     fn sample_column(n: usize, block: usize, codec: Codec) -> Column {

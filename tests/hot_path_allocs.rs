@@ -14,6 +14,8 @@
 //! The counters are per-thread, so the parallel test harness cannot leak
 //! another test's allocations into an assertion here.
 
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use x100_bench::alloc::{assert_no_allocs, count_allocs, CountingAlloc};
@@ -45,6 +47,17 @@ fn fixture() -> (Vec<Vec<u32>>, Arc<InvertedIndex>) {
     let mut queries: Vec<Vec<u32>> = c.eval_queries.iter().map(|q| q.terms.clone()).collect();
     queries.extend(c.efficiency_log.iter().take(10).cloned());
     (queries, index)
+}
+
+/// A temp path unique to this call: pid plus a process-wide counter, so
+/// tests running as threads of one process never share a file.
+fn temp_path(name: &str) -> PathBuf {
+    static COUNTER: AtomicU64 = AtomicU64::new(0);
+    std::env::temp_dir().join(format!(
+        "x100-{name}-{}-{}.seg",
+        std::process::id(),
+        COUNTER.fetch_add(1, Ordering::Relaxed)
+    ))
 }
 
 /// Guards the whole suite against a silent no-op: if the counting
@@ -108,8 +121,7 @@ fn executor_steady_state_performs_zero_allocations() {
 #[test]
 fn segment_backed_executor_is_allocation_free_once_warm() {
     let (queries, index) = fixture();
-    let mut path = std::env::temp_dir();
-    path.push(format!("x100-hot-path-allocs-{}.seg", std::process::id()));
+    let path = temp_path("hot-path-allocs");
     index.write_segment(&path).expect("write segment");
     let reopened = Arc::new(InvertedIndex::open_segment(&path).expect("open segment"));
     // Disk-backed blocks are `pread` and decoded on first touch (which

@@ -17,6 +17,8 @@
 //! only on state each query re-initializes, never on leftovers — the
 //! exact property that makes arena reuse safe.
 
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use proptest::prelude::*;
@@ -75,6 +77,17 @@ fn bits(results: &[SearchResult]) -> Vec<(u32, u32)> {
         .collect()
 }
 
+/// A temp path unique to this call: pid plus a process-wide counter, so
+/// tests running as threads of one process never share a file.
+fn temp_path(name: &str) -> PathBuf {
+    static COUNTER: AtomicU64 = AtomicU64::new(0);
+    std::env::temp_dir().join(format!(
+        "x100-{name}-{}-{}.seg",
+        std::process::id(),
+        COUNTER.fetch_add(1, Ordering::Relaxed)
+    ))
+}
+
 /// Asserts the fused path (through `exec`, arena poisoned first) agrees
 /// with the relational oracle on one query, including error outcomes.
 fn check_one(
@@ -130,8 +143,7 @@ fn every_strategy_matches_relational_oracle_with_poisoned_arena() {
 #[test]
 fn segment_backed_fused_path_matches_relational_oracle() {
     let fx = fixture();
-    let mut path = std::env::temp_dir();
-    path.push(format!("x100-scratch-diff-{}.seg", std::process::id()));
+    let path = temp_path("scratch-diff");
     // The q8 index runs all eight strategies; reopened from its segment the
     // posting blocks (and the block-max metadata the pruned modes skip by)
     // are disk-resident and flow through the buffer pool.
